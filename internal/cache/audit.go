@@ -8,13 +8,7 @@ import (
 // ForEachLine visits every valid data line (outside reserved ways), for
 // cross-level invariant checks at the simulator layer.
 func (c *Cache) ForEachLine(f func(set, way int, l mem.Line)) {
-	for s := range c.sets {
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			if c.sets[s][w].valid {
-				f(s, w, c.sets[s][w].tag)
-			}
-		}
-	}
+	c.forEachData(func(s, w, i int) { f(s, w, c.tags[i]) })
 }
 
 // LineState is the full observable state of one resident data line, for
@@ -32,18 +26,14 @@ type LineState struct {
 // set-then-way order. Read-only; the differential oracle uses it to compare
 // the cache's contents against the reference model's.
 func (c *Cache) ForEachLineState(f func(LineState)) {
-	for s := range c.sets {
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			ln := &c.sets[s][w]
-			if ln.valid {
-				f(LineState{
-					Set: s, Way: w, Line: ln.tag,
-					Dirty: ln.dirty, Prefetched: ln.prefetched,
-					Src: ln.src, ReadyAt: ln.readyAt,
-				})
-			}
-		}
-	}
+	c.forEachData(func(s, w, i int) {
+		ln := &c.lines[i]
+		f(LineState{
+			Set: s, Way: w, Line: c.tags[i],
+			Dirty: ln.dirty, Prefetched: ln.prefetched,
+			Src: ln.src, ReadyAt: ln.readyAt,
+		})
+	})
 }
 
 // AuditScan verifies the cache's structural invariants against a, reporting
@@ -73,32 +63,31 @@ func (c *Cache) AuditScan(a *audit.Auditor, now uint64) {
 	name := c.cfg.Name
 	valid := 0
 	var residentPF [NumSources]uint64
-	for s := range c.sets {
-		rsv := c.reserved[s]
+	for s, rsv := range c.reserved {
 		if rsv < 0 || rsv > c.cfg.Ways {
 			a.Reportf(now, name, "reservation-bounds",
 				"set %d reserves %d ways of %d", s, rsv, c.cfg.Ways)
 			continue
 		}
-		for w := 0; w < c.cfg.Ways; w++ {
-			ln := &c.sets[s][w]
-			if !ln.valid {
+		row, base := c.row(s)
+		for w, tag := range row {
+			if tag == invalidTag {
 				continue
 			}
 			valid++
-			if ln.prefetched && w >= rsv {
+			if ln := &c.lines[base+w]; ln.prefetched && w >= rsv {
 				residentPF[ln.src]++
 			}
 			if w < rsv {
 				a.Reportf(now, name, "data-in-reserved-way",
 					"set %d way %d holds line %#x inside the %d reserved ways",
-					s, w, uint64(ln.tag), rsv)
+					s, w, uint64(tag), rsv)
 			}
-			for w2 := w + 1; w2 < c.cfg.Ways; w2++ {
-				if c.sets[s][w2].valid && c.sets[s][w2].tag == ln.tag {
+			for w2 := w + 1; w2 < len(row); w2++ {
+				if row[w2] == tag {
 					a.Reportf(now, name, "duplicate-line",
 						"set %d holds line %#x in ways %d and %d",
-						s, uint64(ln.tag), w, w2)
+						s, uint64(tag), w, w2)
 				}
 			}
 		}

@@ -137,15 +137,19 @@ func (s Stats) PrefetchAccuracy() float64 {
 	return Accuracy(s.UsefulPrefetches, s.PrefetchFills)
 }
 
+// line is the per-way state beside the tag array. A way's tag lives in
+// Cache.tags, which alone decides residency, so scans never touch this
+// struct until a tag matches.
 type line struct {
-	tag        mem.Line
-	pc         mem.PC
-	valid      bool
+	readyAt    uint64 // cycle at which the fill completes (late prefetches)
 	dirty      bool
 	prefetched bool
 	src        Source // issuing prefetcher (meaningful while prefetched)
-	readyAt    uint64 // cycle at which the fill completes (late prefetches)
 }
+
+// invalidTag fills the tag of every empty way. Lines derive from byte
+// addresses (mem.LineOf), so no real line reaches this value.
+const invalidTag = ^mem.Line(0)
 
 // Victim describes a line displaced by a fill.
 type Victim struct {
@@ -157,9 +161,13 @@ type Victim struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	repl replacement.Policy
+	cfg Config
+	// tags and lines are flat Sets*Ways arrays: way w of set s lives at
+	// s*Ways+w. tags holds invalidTag for an empty way, so a set's tag walk
+	// reads one contiguous row of keys.
+	tags  []mem.Line
+	lines []line
+	repl  replacement.Policy
 
 	// reserved[s] is the number of low-indexed ways of set s unavailable
 	// to data (owned by a metadata partition). Data occupies the rest.
@@ -206,7 +214,8 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, cfg.Sets),
+		tags:     make([]mem.Line, cfg.Sets*cfg.Ways),
+		lines:    make([]line, cfg.Sets*cfg.Ways),
 		repl:     cfg.Policy(cfg.Sets, cfg.Ways),
 		reserved: make([]int, cfg.Sets),
 		port: mem.RateLimiter{
@@ -215,8 +224,8 @@ func New(cfg Config) *Cache {
 		},
 		mshr: make([]uint64, cfg.MSHRs),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
 	return c
 }
@@ -229,6 +238,25 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 
 // SetOf returns the set index for a line.
 func (c *Cache) SetOf(l mem.Line) int { return int(uint64(l) & uint64(c.cfg.Sets-1)) }
+
+// row returns set s's slice of the tag array and the flat index of its way 0.
+func (c *Cache) row(s int) ([]mem.Line, int) {
+	base := s * c.cfg.Ways
+	return c.tags[base : base+c.cfg.Ways], base
+}
+
+// find returns l's set and its way among the set's data ways, or way -1
+// when l is not resident.
+func (c *Cache) find(l mem.Line) (set, way int) {
+	set = c.SetOf(l)
+	row, _ := c.row(set)
+	for w := c.reserved[set]; w < len(row); w++ {
+		if row[w] == l {
+			return set, w
+		}
+	}
+	return set, -1
+}
 
 // portWindow is the port rate limiter's bucket width in cycles: a cache
 // with P ports serves at most P*portWindow accesses per portWindow cycles.
@@ -333,60 +361,54 @@ func (c *Cache) LookupResident(now uint64, a mem.Access) (LookupResult, bool) {
 // prefetch bit, replacement, dirty marking) when the line is found and
 // touching nothing when it is not. Access/miss counting is the caller's.
 func (c *Cache) lookupHit(now uint64, a mem.Access) (LookupResult, bool) {
-	set := c.SetOf(a.Line())
-	demand := a.Kind.IsDemand()
-	for w := c.reserved[set]; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if !ln.valid || ln.tag != a.Line() {
-			continue
-		}
-		var res LookupResult
-		res.Hit = true
-		late := false
-		if ln.readyAt > now {
-			res.ExtraWait = ln.readyAt - now
-			if demand {
-				c.Stats.ExtraWaitCycles += res.ExtraWait
-				if ln.prefetched {
-					c.Stats.LatePrefetches++
-					late = true
-				}
-			}
-		}
-		if demand {
-			c.Stats.DemandHits++
-			if ln.prefetched {
-				res.WasPrefetched = true
-				ln.prefetched = false
-				c.Stats.UsefulPrefetches++
-				if late {
-					c.Stats.Sources[ln.src].UsefulLate++
-				} else {
-					c.Stats.Sources[ln.src].UsefulTimely++
-				}
-			}
-		} else if a.Kind == mem.Prefetch {
-			c.Stats.PrefetchHits++
-		}
-		if a.Kind == mem.Store {
-			ln.dirty = true
-		}
-		c.repl.Hit(set, w, replacement.Access{PC: a.PC, Line: a.Line()})
-		return res, true
+	set, way := c.find(a.Line())
+	if way < 0 {
+		return LookupResult{}, false
 	}
-	return LookupResult{}, false
+	demand := a.Kind.IsDemand()
+	ln := &c.lines[set*c.cfg.Ways+way]
+	var res LookupResult
+	res.Hit = true
+	late := false
+	if ln.readyAt > now {
+		res.ExtraWait = ln.readyAt - now
+		if demand {
+			c.Stats.ExtraWaitCycles += res.ExtraWait
+			if ln.prefetched {
+				c.Stats.LatePrefetches++
+				late = true
+			}
+		}
+	}
+	if demand {
+		c.Stats.DemandHits++
+		if ln.prefetched {
+			res.WasPrefetched = true
+			ln.prefetched = false
+			c.Stats.UsefulPrefetches++
+			if late {
+				c.Stats.Sources[ln.src].UsefulLate++
+			} else {
+				c.Stats.Sources[ln.src].UsefulTimely++
+			}
+		}
+	} else if a.Kind == mem.Prefetch {
+		c.Stats.PrefetchHits++
+	}
+	if a.Kind == mem.Store {
+		ln.dirty = true
+	}
+	c.repl.Hit(set, way, replacement.Access{PC: a.PC, Line: a.Line()})
+	return res, true
 }
 
 // Probe reports whether the line is resident, without touching any state.
 func (c *Cache) Probe(l mem.Line) bool {
-	set := c.SetOf(l)
-	for w := c.reserved[set]; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if ln.valid && ln.tag == l {
-			return true
-		}
+	if l == invalidTag {
+		return false
 	}
-	return false
+	_, way := c.find(l)
+	return way >= 0
 }
 
 // Fill installs a line, returning the displaced victim (Valid=false when an
@@ -395,16 +417,18 @@ func (c *Cache) Probe(l mem.Line) bool {
 // accounting and attributes its lifecycle to that prefetcher.
 func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 	prefetch := src != SrcDemand
-	set := c.SetOf(a.Line())
+	l := a.Line()
+	set := c.SetOf(l)
 	lo := c.reserved[set]
 	if lo >= c.cfg.Ways {
 		// The whole set is reserved for metadata; cannot cache the line.
 		return Victim{}
 	}
+	row, base := c.row(set)
 	way := -1
-	for w := lo; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if ln.valid && ln.tag == a.Line() {
+	for w := lo; w < len(row); w++ {
+		switch row[w] {
+		case l:
 			// Already present (e.g. a racing fill): refresh in place. A
 			// refresh is not a new install, so the resident copy keeps its
 			// dirty bit (else the pending writeback is lost), its
@@ -412,24 +436,26 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 			// demand-owned line earns no coverage credit, and no
 			// PrefetchFills/Sources fill is counted — the line was filled
 			// once), and whichever fill completes first.
+			ln := &c.lines[base+w]
 			if a.Kind == mem.Store || a.Kind == mem.Writeback {
 				ln.dirty = true
 			}
 			if readyAt < ln.readyAt {
 				ln.readyAt = readyAt
 			}
-			c.repl.Fill(set, w, replacement.Access{PC: a.PC, Line: a.Line()})
+			c.repl.Fill(set, w, replacement.Access{PC: a.PC, Line: l})
 			return Victim{}
-		}
-		if !ln.valid && way < 0 {
-			way = w
+		case invalidTag:
+			if way < 0 {
+				way = w
+			}
 		}
 	}
 	var victim Victim
 	if way < 0 {
-		way = c.repl.Victim(set, lo, replacement.Access{PC: a.PC, Line: a.Line()})
-		ln := &c.sets[set][way]
-		victim = Victim{Line: ln.tag, Dirty: ln.dirty, Prefetched: ln.prefetched, Valid: true}
+		way = c.repl.Victim(set, lo, replacement.Access{PC: a.PC, Line: l})
+		ln := &c.lines[base+way]
+		victim = Victim{Line: row[way], Dirty: ln.dirty, Prefetched: ln.prefetched, Valid: true}
 		c.Stats.Evictions++
 		if ln.dirty {
 			c.Stats.Writebacks++
@@ -444,34 +470,32 @@ func (c *Cache) Fill(a mem.Access, readyAt uint64, src Source) Victim {
 		c.Stats.PrefetchFills++
 		c.Stats.Sources[src].Fills++
 	}
-	if !c.sets[set][way].valid {
+	if row[way] == invalidTag {
 		c.occupied++
 	}
-	c.sets[set][way] = line{
-		tag:        a.Line(),
-		pc:         a.PC,
-		valid:      true,
+	row[way] = l
+	c.lines[base+way] = line{
+		readyAt:    readyAt,
 		dirty:      a.Kind == mem.Store || a.Kind == mem.Writeback,
 		prefetched: prefetch,
 		src:        src,
-		readyAt:    readyAt,
 	}
-	c.repl.Fill(set, way, replacement.Access{PC: a.PC, Line: a.Line()})
+	c.repl.Fill(set, way, replacement.Access{PC: a.PC, Line: l})
 	return victim
 }
 
 // MarkDirty sets the dirty bit of a resident line (used when a writeback
 // from an upper level lands on a resident copy).
 func (c *Cache) MarkDirty(l mem.Line) bool {
-	set := c.SetOf(l)
-	for w := c.reserved[set]; w < c.cfg.Ways; w++ {
-		ln := &c.sets[set][w]
-		if ln.valid && ln.tag == l {
-			ln.dirty = true
-			return true
-		}
+	if l == invalidTag {
+		return false
 	}
-	return false
+	set, way := c.find(l)
+	if way < 0 {
+		return false
+	}
+	c.lines[set*c.cfg.Ways+way].dirty = true
+	return true
 }
 
 // ReservedWays returns the number of ways of set s reserved for metadata.
@@ -490,24 +514,27 @@ func (c *Cache) Reserve(s, ways int) (flushed, dirty int) {
 	}
 	old := c.reserved[s]
 	c.reserved[s] = ways
+	row, base := c.row(s)
 	for w := old; w < ways; w++ {
-		ln := &c.sets[s][w]
-		if ln.valid {
-			flushed++
-			if ln.dirty {
-				dirty++
-			}
-			// A flushed line that was prefetched and never demand-hit left
-			// the cache unused, exactly like a replacement eviction; without
-			// this the per-source lifecycle partition (fills = useful +
-			// evicted-unused + still-resident) leaks one line per flush.
-			if ln.prefetched {
-				c.Stats.UnusedPrefetches++
-				c.Stats.Sources[ln.src].EvictedUnused++
-			}
-			c.repl.Evict(s, w)
-			*ln = line{}
+		if row[w] == invalidTag {
+			continue
 		}
+		ln := &c.lines[base+w]
+		flushed++
+		if ln.dirty {
+			dirty++
+		}
+		// A flushed line that was prefetched and never demand-hit left the
+		// cache unused, exactly like a replacement eviction; without this
+		// the per-source lifecycle partition (fills = useful +
+		// evicted-unused + still-resident) leaks one line per flush.
+		if ln.prefetched {
+			c.Stats.UnusedPrefetches++
+			c.Stats.Sources[ln.src].EvictedUnused++
+		}
+		c.repl.Evict(s, w)
+		row[w] = invalidTag
+		*ln = line{}
 	}
 	c.occupied -= flushed
 	return flushed, dirty
@@ -535,13 +562,7 @@ func (c *Cache) CountMeta(kind mem.Kind) {
 // OccupiedLines returns the number of valid data lines (diagnostics).
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			if c.sets[s][w].valid {
-				n++
-			}
-		}
-	}
+	c.forEachData(func(int, int, int) { n++ })
 	return n
 }
 
@@ -551,19 +572,28 @@ func (c *Cache) OccupiedLines() int {
 // reserved for metadata partitions. The scan is read-only; the telemetry
 // sampler uses it for the LLC occupancy series.
 func (c *Cache) OccupancyBreakdown() (demand, prefetched, reserved int) {
-	for s := range c.sets {
-		reserved += c.reserved[s]
-		for w := c.reserved[s]; w < c.cfg.Ways; w++ {
-			ln := &c.sets[s][w]
-			if !ln.valid {
-				continue
-			}
-			if ln.prefetched {
-				prefetched++
-			} else {
-				demand++
+	for _, r := range c.reserved {
+		reserved += r
+	}
+	c.forEachData(func(_, _, i int) {
+		if c.lines[i].prefetched {
+			prefetched++
+		} else {
+			demand++
+		}
+	})
+	return demand, prefetched, reserved
+}
+
+// forEachData visits every valid data line (outside reserved ways) in
+// set-then-way order with its set, way and flat index.
+func (c *Cache) forEachData(f func(set, way, i int)) {
+	for s := range c.reserved {
+		row, base := c.row(s)
+		for w := c.reserved[s]; w < len(row); w++ {
+			if row[w] != invalidTag {
+				f(s, w, base+w)
 			}
 		}
 	}
-	return demand, prefetched, reserved
 }

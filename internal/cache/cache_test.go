@@ -461,3 +461,61 @@ func TestReserveFlushCountsUnusedPrefetch(t *testing.T) {
 		t.Errorf("lifecycle partition leaks: %+v", ss)
 	}
 }
+
+// TestReserveFlushThenUnreserve pins the empty-way sentinel across a
+// repartition: a flushed line misses on every path that scans tags, and
+// once the ways are released they refill as empty ways, not as evictions.
+func TestReserveFlushThenUnreserve(t *testing.T) {
+	c := New(testConfig())
+	c.Fill(mem.Access{PC: 1, Addr: mem.AddrOf(0), Kind: mem.Store}, 0, SrcDemand)
+	for i := 1; i < 4; i++ {
+		c.Fill(loadAt(mem.Line(i*16)), 0, SrcDemand)
+	}
+	if flushed, _ := c.Reserve(0, 2); flushed != 2 {
+		t.Fatalf("flushed = %d, want 2", flushed)
+	}
+	for _, l := range []mem.Line{0, 16} {
+		if c.Probe(l) {
+			t.Errorf("Probe(%d) hit a flushed line", l)
+		}
+		if r := c.Lookup(1, loadAt(l)); r.Hit {
+			t.Errorf("Lookup(%d) hit a flushed line", l)
+		}
+		if _, hit := c.LookupResident(1, loadAt(l)); hit {
+			t.Errorf("LookupResident(%d) hit a flushed line", l)
+		}
+		if c.MarkDirty(l) {
+			t.Errorf("MarkDirty(%d) found a flushed line", l)
+		}
+	}
+	c.Reserve(0, 0)
+	evictions := c.Stats.Evictions
+	for _, l := range []mem.Line{64, 80} {
+		if v := c.Fill(loadAt(l), 2, SrcDemand); v.Valid {
+			t.Errorf("fill of %d into a released way evicted %+v", l, v)
+		}
+	}
+	if c.Stats.Evictions != evictions {
+		t.Errorf("refilling released ways counted %d evictions", c.Stats.Evictions-evictions)
+	}
+	for _, l := range []mem.Line{32, 48, 64, 80} {
+		if !c.Probe(l) {
+			t.Errorf("line %d not resident after refill", l)
+		}
+	}
+	if v := c.Fill(loadAt(96), 3, SrcDemand); !v.Valid {
+		t.Error("fill into the full set evicted nothing")
+	}
+	if r := auditRules(c); len(r) != 0 {
+		t.Errorf("audit violations after repartition: %v", r)
+	}
+}
+
+// TestSentinelLineNeverResident guards the empty-way tag: a line equal to
+// it (never produced by mem.LineOf) must not match the empty ways.
+func TestSentinelLineNeverResident(t *testing.T) {
+	c := New(testConfig())
+	if c.Probe(invalidTag) || c.MarkDirty(invalidTag) {
+		t.Error("the empty-way sentinel matched an empty way")
+	}
+}

@@ -41,13 +41,14 @@ func (s *Store) AuditScan(a *audit.Auditor, now uint64) {
 	if s.cfg.Format != Stream {
 		maxTargets = 1
 	}
-	for set := range s.slots {
+	for set := 0; set < s.metaSets; set++ {
 		live := s.setLive(set) || !s.cfg.SetPartitioned
-		for idx := range s.slots[set] {
-			sl := &s.slots[set][idx]
-			if !sl.valid {
+		base := set * s.perSet
+		for idx, k := range s.keys[base : base+s.perSet] {
+			if k == 0 {
 				continue
 			}
+			sl := &s.slots[base+idx]
 			way := idx / s.epb
 			switch {
 			case !live:
@@ -58,10 +59,10 @@ func (s *Store) AuditScan(a *audit.Auditor, now uint64) {
 					"way %d of set %d beyond the %d allocated ways (trigger %#x)",
 					way, set, s.curWays, uint64(sl.trigger))
 			}
-			if len(sl.targets) < 1 || len(sl.targets) > maxTargets {
+			if sl.n < 1 || int(sl.n) > maxTargets {
 				a.Reportf(now, "meta", "entry-malformed",
 					"set %d entry for trigger %#x holds %d targets (want 1..%d)",
-					set, uint64(sl.trigger), len(sl.targets), maxTargets)
+					set, uint64(sl.trigger), sl.n, maxTargets)
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package meta
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"streamline/internal/mem"
 	"streamline/internal/telemetry"
@@ -67,15 +69,25 @@ type StoreConfig struct {
 	Policy EntryPolicyFactory
 }
 
+// slot is the pointer-free body of one entry slot. Its validity and tags
+// live in the parallel key word and its targets in the store's arena, so
+// scans read neither this struct nor the targets until a key matches.
 type slot struct {
-	valid   bool
-	conf    bool   // confidence bit: targets confirmed by a repeat store
-	hash    uint32 // hashed trigger tag (TriggerHashBits wide)
-	partial uint16 // partial tag stored in the LLC tag array
 	trigger mem.Line
-	targets []mem.Line
 	pc      mem.PC
+	n       uint8 // targets held in the slot's arena row
+	conf    bool  // confidence bit: targets confirmed by a repeat store
 }
+
+// A slot's key word packs everything a scan compares: the valid bit, the
+// partial tag stored in the LLC tag array, and the hashed trigger tag
+// (TriggerHashBits wide). An empty slot's key is zero.
+const (
+	keyValid        = uint64(1) << 63
+	keyPartialShift = 32
+	keyHash         = keyValid | (1<<keyPartialShift - 1)   // valid + trigger hash
+	keyPartial      = keyValid | (1<<16-1)<<keyPartialShift // valid + partial tag
+)
 
 // Store is a partitionable on-chip metadata store hosted by the LLC.
 type Store struct {
@@ -93,8 +105,15 @@ type Store struct {
 	curSpacing int // set-partitioned: every curSpacing-th logical set is live
 	maxSpacing int
 
-	slots [][]slot // [logical set][way*epb+idx]
-	pol   EntryPolicy
+	// keys, slots and targets are flat over every entry slot: slot idx of
+	// logical set set lives at set*perSet+idx (idx = way*epb+entry), and its
+	// targets at [i*perSlot, i*perSlot+n) of the targets arena.
+	keys    []uint64
+	slots   []slot
+	targets []mem.Line
+	perSet  int // slots per logical set (maxWays*epb)
+	perSlot int // target capacity of one slot
+	pol     EntryPolicy
 
 	// lookupBuf backs the Targets slice of the Entry Lookup returns; it is
 	// valid until the next Lookup. Callers that retain an entry across
@@ -124,6 +143,14 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 	if cfg.StreamLength <= 0 {
 		cfg.StreamLength = 1
 	}
+	perSlot := 1
+	if cfg.Format == Stream {
+		if cfg.StreamLength > math.MaxUint8 {
+			panic(fmt.Sprintf("meta: stream length %d exceeds the %d targets an entry can hold",
+				cfg.StreamLength, math.MaxUint8))
+		}
+		perSlot = cfg.StreamLength
+	}
 	if cfg.PartialTagBits <= 0 {
 		cfg.PartialTagBits = 10
 	}
@@ -143,6 +170,7 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 		llcSets: llcSets,
 		llcWays: llcWays,
 		epb:     EntriesPerBlock(cfg.Format, cfg.StreamLength),
+		perSlot: perSlot,
 	}
 	maxBlocks := cfg.MaxBytes / mem.LineSize
 	if cfg.SetPartitioned {
@@ -166,11 +194,12 @@ func NewStore(cfg StoreConfig, bridge Bridge) *Store {
 		}
 		s.maxSpacing = 1
 	}
-	s.slots = make([][]slot, s.metaSets)
-	for i := range s.slots {
-		s.slots[i] = make([]slot, s.maxWays*s.epb)
-	}
-	s.pol = cfg.Policy(s.metaSets, s.maxWays*s.epb)
+	s.perSet = s.maxWays * s.epb
+	n := s.metaSets * s.perSet
+	s.keys = make([]uint64, n)
+	s.slots = make([]slot, n)
+	s.targets = make([]mem.Line, n*s.perSlot)
+	s.pol = cfg.Policy(s.metaSets, s.perSet)
 	s.applySize(s.maxBytes(), true)
 	return s
 }
@@ -210,6 +239,30 @@ func (s *Store) partialTag(t mem.Line) uint16 {
 	// A different bit slice than the trigger hash, as the partial tag
 	// lives in the LLC tag store.
 	return uint16(mem.HashLine64(t)>>32) & (1<<uint(s.cfg.PartialTagBits) - 1)
+}
+
+// key returns the valid key word of t's entry.
+func (s *Store) key(t mem.Line) uint64 {
+	return keyValid | uint64(s.partialTag(t))<<keyPartialShift | uint64(s.triggerHash(t))
+}
+
+// slotTargets returns the targets held by flat slot i.
+func (s *Store) slotTargets(i int) []mem.Line {
+	base := i * s.perSlot
+	return s.targets[base : base+int(s.slots[i].n)]
+}
+
+// match returns the index in [lo, hi) of set's first valid slot whose
+// trigger hash is h, or -1.
+func (s *Store) match(set, lo, hi int, h uint32) int {
+	base := set * s.perSet
+	want := keyValid | uint64(h)
+	for idx, k := range s.keys[base+lo : base+hi] {
+		if k&keyHash == want {
+			return lo + idx
+		}
+	}
+	return -1
 }
 
 // logicalSet maps a trigger to its logical metadata set under the FIXED
@@ -302,17 +355,16 @@ func (s *Store) candidates(set int, t mem.Line) (lo, hi int, aliased bool, live 
 	}
 	// Tagged: any live way, but an existing entry with the same partial
 	// tag pins the incoming entry to its way.
-	pt := s.partialTag(t)
-	for w := 0; w < s.curWays; w++ {
-		for i := 0; i < s.epb; i++ {
-			sl := &s.slots[set][w*s.epb+i]
-			if sl.valid && sl.partial == pt && sl.trigger != t {
-				lo = w * s.epb
-				return lo, lo + s.epb, true, true
-			}
+	want := keyValid | uint64(s.partialTag(t))<<keyPartialShift
+	base := set * s.perSet
+	hi = s.curWays * s.epb
+	for idx, k := range s.keys[base : base+hi] {
+		if k&keyPartial == want && s.slots[base+idx].trigger != t {
+			lo = idx / s.epb * s.epb
+			return lo, lo + s.epb, true, true
 		}
 	}
-	return 0, s.curWays * s.epb, false, true
+	return 0, hi, false, true
 }
 
 // WouldFilter reports whether an entry with the given trigger would be
@@ -353,17 +405,17 @@ func (s *Store) Lookup(now uint64, pc mem.PC, t mem.Line) (Entry, bool, uint64) 
 	}
 	lat := s.bridge.MetaAccess(now, mem.MetaRead)
 	s.Stats.Reads++
-	h := s.triggerHash(t)
-	for idx := lo; idx < hi; idx++ {
-		sl := &s.slots[set][idx]
-		if sl.valid && sl.hash == h {
-			s.Stats.TriggerHits++
-			s.pol.Touch(set, idx, EntryAccess{PC: pc, Trigger: t, FirstTarget: sl.targets[0]})
-			s.lookupBuf = append(s.lookupBuf[:0], sl.targets...)
-			return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: sl.conf}, true, lat
-		}
+	idx := s.match(set, lo, hi, s.triggerHash(t))
+	if idx < 0 {
+		return Entry{}, false, lat
 	}
-	return Entry{}, false, lat
+	s.Stats.TriggerHits++
+	i := set*s.perSet + idx
+	targets := s.slotTargets(i)
+	s.pol.Touch(set, idx, EntryAccess{PC: pc, Trigger: t, FirstTarget: targets[0]})
+	s.lookupBuf = append(s.lookupBuf[:0], targets...)
+	sl := &s.slots[i]
+	return Entry{Trigger: sl.trigger, Targets: s.lookupBuf, Conf: sl.conf}, true, lat
 }
 
 // Insert writes an entry at cycle now, charging one LLC metadata write
@@ -389,36 +441,25 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 		s.Stats.AliasedInserts++
 	}
 	acc := EntryAccess{PC: pc, Trigger: e.Trigger, FirstTarget: e.Targets[0]}
-	h := s.triggerHash(e.Trigger)
+	base := set * s.perSet
 
 	// In-place update of an existing entry for this trigger. The
 	// confidence bit confirms on identical targets and clears otherwise.
-	for idx := lo; idx < hi; idx++ {
-		sl := &s.slots[set][idx]
-		if sl.valid && sl.hash == h {
-			same := len(sl.targets) == len(e.Targets)
-			if same {
-				for i := range sl.targets {
-					if sl.targets[i] != e.Targets[i] {
-						same = false
-						break
-					}
-				}
-			}
-			s.storeInto(set, idx, e, pc)
-			s.slots[set][idx].conf = same
-			s.pol.Touch(set, idx, acc)
-			s.Stats.Updates++
-			lat := s.bridge.MetaAccess(now, mem.MetaWrite)
-			s.Stats.Writes++
-			return lat, same
-		}
+	if idx := s.match(set, lo, hi, s.triggerHash(e.Trigger)); idx >= 0 {
+		same := slices.Equal(s.slotTargets(base+idx), e.Targets)
+		s.storeInto(base+idx, e, pc)
+		s.slots[base+idx].conf = same
+		s.pol.Touch(set, idx, acc)
+		s.Stats.Updates++
+		lat := s.bridge.MetaAccess(now, mem.MetaWrite)
+		s.Stats.Writes++
+		return lat, same
 	}
 	// Free slot, else victim.
 	target := -1
-	for idx := lo; idx < hi; idx++ {
-		if !s.slots[set][idx].valid {
-			target = idx
+	for idx, k := range s.keys[base+lo : base+hi] {
+		if k == 0 {
+			target = lo + idx
 			break
 		}
 	}
@@ -427,7 +468,7 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 		s.pol.Evict(set, target)
 		s.Stats.Evictions++
 	}
-	s.storeInto(set, target, e, pc)
+	s.storeInto(base+target, e, pc)
 	s.pol.Fill(set, target, acc)
 	s.Stats.Inserts++
 	lat := s.bridge.MetaAccess(now, mem.MetaWrite)
@@ -435,28 +476,13 @@ func (s *Store) Insert(now uint64, pc mem.PC, e Entry) (uint64, bool) {
 	return lat, false
 }
 
-func (s *Store) storeInto(set, idx int, e Entry, pc mem.PC) {
-	sl := &s.slots[set][idx]
-	k := s.cfg.StreamLength
-	if s.cfg.Format != Stream {
-		k = 1
-	}
-	targets := sl.targets
-	if cap(targets) < k {
-		targets = make([]mem.Line, 0, k)
-	}
-	targets = targets[:0]
-	for i := 0; i < k && i < len(e.Targets); i++ {
-		targets = append(targets, e.Targets[i])
-	}
-	*sl = slot{
-		valid:   true,
-		hash:    s.triggerHash(e.Trigger),
-		partial: s.partialTag(e.Trigger),
-		trigger: e.Trigger,
-		targets: targets,
-		pc:      pc,
-	}
+// storeInto overwrites flat slot i with e, keeping at most the slot's
+// target capacity and clearing its confidence bit.
+func (s *Store) storeInto(i int, e Entry, pc mem.PC) {
+	base := i * s.perSlot
+	n := copy(s.targets[base:base+s.perSlot], e.Targets)
+	s.keys[i] = s.key(e.Trigger)
+	s.slots[i] = slot{trigger: e.Trigger, pc: pc, n: uint8(n)}
 }
 
 // Resize changes the partition to newBytes (rounded down to the scheme's
@@ -557,17 +583,18 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 	var movedBlocksOut uint64
 
 	blockDirty := make([]bool, s.maxWays)
-	for set := range s.slots {
+	for set := 0; set < s.metaSets; set++ {
 		setLiveNow := s.setLive(set) || !s.cfg.SetPartitioned
 		for i := range blockDirty {
 			blockDirty[i] = false
 		}
 		dirtyBlocks := 0
-		for idx := range s.slots[set] {
-			sl := &s.slots[set][idx]
-			if !sl.valid {
+		base := set * s.perSet
+		for idx, k := range s.keys[base : base+s.perSet] {
+			if k == 0 {
 				continue
 			}
+			sl := &s.slots[base+idx]
 			way := idx / s.epb
 			keep := setLiveNow && way < s.curWays
 			if keep && !s.cfg.Filtered {
@@ -602,7 +629,7 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 			if !s.cfg.Filtered {
 				// Rearranged stores relocate the entry.
 				toMove = append(toMove, moved{
-					e:  Entry{Trigger: sl.trigger, Targets: append([]mem.Line(nil), sl.targets...)},
+					e:  Entry{Trigger: sl.trigger, Targets: append([]mem.Line(nil), s.slotTargets(base+idx)...)},
 					pc: sl.pc,
 				})
 				if !blockDirty[way] {
@@ -613,7 +640,8 @@ func (s *Store) migrate(oldWays, oldSpacing int) uint64 {
 				s.Stats.DroppedResize++
 			}
 			s.pol.Evict(set, idx)
-			*sl = slot{targets: sl.targets[:0]}
+			s.keys[base+idx] = 0
+			*sl = slot{}
 		}
 		movedBlocksOut += uint64(dirtyBlocks)
 	}
@@ -665,11 +693,9 @@ func (s *Store) updateReservations() {
 // Occupancy returns the number of valid entries (diagnostics).
 func (s *Store) Occupancy() int {
 	n := 0
-	for set := range s.slots {
-		for idx := range s.slots[set] {
-			if s.slots[set][idx].valid {
-				n++
-			}
+	for _, k := range s.keys {
+		if k != 0 {
+			n++
 		}
 	}
 	return n
@@ -697,17 +723,14 @@ func (s *Store) SchemeName() string {
 // such as the Figure 12b redundancy measurement.
 func (s *Store) DumpEntries() []Entry {
 	var out []Entry
-	for set := range s.slots {
-		for idx := range s.slots[set] {
-			sl := &s.slots[set][idx]
-			if !sl.valid {
-				continue
-			}
-			out = append(out, Entry{
-				Trigger: sl.trigger,
-				Targets: append([]mem.Line(nil), sl.targets...),
-			})
+	for i, k := range s.keys {
+		if k == 0 {
+			continue
 		}
+		out = append(out, Entry{
+			Trigger: s.slots[i].trigger,
+			Targets: append([]mem.Line(nil), s.slotTargets(i)...),
+		})
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package meta
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamline/internal/mem"
@@ -436,4 +438,97 @@ func TestFormatString(t *testing.T) {
 			t.Errorf("Format(%d).String() empty", f)
 		}
 	}
+}
+
+// shortStreams re-stores each of n triggers with a shorter stream than its
+// first store, returning the targets each trigger should now hold.
+func shortStreams(s *Store, n int) map[mem.Line][]mem.Line {
+	want := make(map[mem.Line][]mem.Line, n)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < n; i++ {
+		tr := mem.Line(rng.Uint64() >> 16)
+		s.Insert(0, 1, Entry{Trigger: tr, Targets: []mem.Line{tr + 1, tr + 2, tr + 3, tr + 4}})
+		short := []mem.Line{tr + 10, tr + 20, tr + 30}[:1+i%3]
+		s.Insert(0, 1, Entry{Trigger: tr, Targets: short})
+		want[tr] = short
+	}
+	return want
+}
+
+// TestShorterRestoreLeavesNoStaleTail pins that a slot's targets are the
+// last store's exactly: re-storing a trigger with fewer targets must not
+// expose the tail of the longer stream it replaced, through Lookup,
+// DumpEntries, or the relocation a rearranging Resize performs.
+func TestShorterRestoreLeavesNoStaleTail(t *testing.T) {
+	cfg := streamlineConfig()
+	cfg.Filtered = false // rearranged: a shrink relocates entries
+	s := NewStore(cfg, llc2MB())
+	want := shortStreams(s, 3000)
+	check := func(when string) {
+		t.Helper()
+		found := 0
+		for tr, w := range want {
+			got, ok, _ := s.Lookup(0, 1, tr)
+			if !ok || got.Trigger != tr {
+				continue
+			}
+			found++
+			if !slices.Equal(got.Targets, w) {
+				t.Fatalf("%s: Lookup(%#x) targets = %v, want %v", when, uint64(tr), got.Targets, w)
+			}
+		}
+		if found == 0 {
+			t.Fatalf("%s: no entries reachable", when)
+		}
+		for _, e := range s.DumpEntries() {
+			if w, ok := want[e.Trigger]; ok && !slices.Equal(e.Targets, w) {
+				t.Fatalf("%s: DumpEntries(%#x) targets = %v, want %v", when, uint64(e.Trigger), e.Targets, w)
+			}
+		}
+	}
+	check("before resize")
+	if moved := s.Resize(256 << 10); moved == 0 {
+		t.Fatal("rearranging shrink moved nothing")
+	}
+	check("after resize")
+}
+
+func TestLookupTargetsAreACopy(t *testing.T) {
+	s := NewStore(streamlineConfig(), llc2MB())
+	s.Insert(0, 1, Entry{Trigger: 5, Targets: []mem.Line{1, 2, 3, 4}})
+	got, _, _ := s.Lookup(0, 1, 5)
+	got.Targets[0] = 99
+	again, ok, _ := s.Lookup(0, 1, 5)
+	if !ok || !slices.Equal(again.Targets, []mem.Line{1, 2, 3, 4}) {
+		t.Errorf("mutating returned targets changed the store: %+v", again)
+	}
+}
+
+// TestStreamLengthBound pins the target count a stream entry can hold: the
+// longest stream round-trips whole, and a longer one is rejected at
+// construction rather than silently truncated.
+func TestStreamLengthBound(t *testing.T) {
+	small := &NullBridge{Sets: 64, Ways: 16, Latency: 20}
+	cfg := streamlineConfig()
+	cfg.MaxBytes = 0
+	cfg.StreamLength = math.MaxUint8
+	s := NewStore(cfg, small)
+	long := make([]mem.Line, cfg.StreamLength)
+	for i := range long {
+		long[i] = mem.Line(1000 + i)
+	}
+	s.Insert(0, 1, Entry{Trigger: 7, Targets: long})
+	if got, ok, _ := s.Lookup(0, 1, 7); !ok || !slices.Equal(got.Targets, long) {
+		t.Fatalf("%d-target stream did not round-trip: ok=%v, %d targets", len(long), ok, len(got.Targets))
+	}
+	// Pairwise formats hold one target whatever StreamLength says.
+	NewStore(StoreConfig{Format: Pairwise, StreamLength: math.MaxUint8 + 1}, small)
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a stream longer than an entry can count was accepted")
+		}
+	}()
+	cfg.StreamLength = math.MaxUint8 + 1
+	NewStore(cfg, small)
 }

@@ -51,36 +51,35 @@ var Factories = map[string]Factory{
 
 // ---------------------------------------------------------------- LRU
 
+// lru keeps one flat stamp array: way w of set s at s*ways+w.
 type lru struct {
-	stamp [][]uint64
+	stamp []uint64
+	ways  int
 	clock uint64
 }
 
 // NewLRU returns a least-recently-used policy.
 func NewLRU(sets, ways int) Policy {
-	p := &lru{stamp: make([][]uint64, sets)}
-	for i := range p.stamp {
-		p.stamp[i] = make([]uint64, ways)
-	}
-	return p
+	return &lru{stamp: make([]uint64, sets*ways), ways: ways}
 }
 
 func (p *lru) Name() string { return "lru" }
 
 func (p *lru) touch(set, way int) {
 	p.clock++
-	p.stamp[set][way] = p.clock
+	p.stamp[set*p.ways+way] = p.clock
 }
 
 func (p *lru) Hit(set, way int, _ Access)  { p.touch(set, way) }
 func (p *lru) Fill(set, way int, _ Access) { p.touch(set, way) }
-func (p *lru) Evict(set, way int)          { p.stamp[set][way] = 0 }
+func (p *lru) Evict(set, way int)          { p.stamp[set*p.ways+way] = 0 }
 
 func (p *lru) Victim(set, lo int, _ Access) int {
-	best, bestStamp := lo, p.stamp[set][lo]
-	for w := lo; w < len(p.stamp[set]); w++ {
-		if p.stamp[set][w] < bestStamp {
-			best, bestStamp = w, p.stamp[set][w]
+	row := p.stamp[set*p.ways : (set+1)*p.ways]
+	best, bestStamp := lo, row[lo]
+	for w := lo; w < len(row); w++ {
+		if row[w] < bestStamp {
+			best, bestStamp = w, row[w]
 		}
 	}
 	return best

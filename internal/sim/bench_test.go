@@ -12,8 +12,8 @@ import (
 // BenchmarkKernel measures the per-trace-record cost of the simulation
 // kernel on each representative scenario. Custom metrics normalize per
 // record: ns/record and records/sec come from the wall clock, allocs/record
-// from the allocator's Mallocs counter. cmd/bench runs the same scenarios
-// to produce the committed BENCH_*.json baselines.
+// from the allocator's Mallocs counter. Profile the kernel with
+// `go test ./internal/sim -run=NONE -bench=Kernel -cpuprofile cpu.out`.
 func BenchmarkKernel(b *testing.B) {
 	for _, k := range KernelScenarios() {
 		b.Run(k.Name, func(b *testing.B) {
@@ -41,19 +41,20 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 // TestKernelAllocsPerRecordCeiling pins the allocation rate of each kernel
-// scenario. The hot path is allocation-free after warmup, so per-record
-// allocations are amortized setup cost; the ceilings hold 2-3x headroom
-// over current values (base 0.02, temporal ~0.18) while failing loudly on
-// a per-record allocation regression (pre-optimization rates were 0.8-2.1).
+// scenario. Cache tags, metadata slots and targets, and the trace's lap
+// buffer are preallocated or reused, so what remains is construction and
+// first-use buffers amortized over the run (base 0.0012, streamline 0.0075,
+// triangel 0.0062, 4-core 0.011 allocs/record). Each ceiling is about 3x
+// its rate; an allocation on even one in twenty records exceeds it.
 func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel runs")
 	}
 	ceilings := map[string]float64{
-		"1core-base-sphinx06":       0.10,
-		"1core-streamline-sphinx06": 0.50,
-		"1core-triangel-mcf06":      0.50,
-		"4core-streamline-mix":      0.40,
+		"1core-base-sphinx06":       0.004,
+		"1core-streamline-sphinx06": 0.025,
+		"1core-triangel-mcf06":      0.02,
+		"4core-streamline-mix":      0.035,
 	}
 	for _, k := range KernelScenarios() {
 		ceil, ok := ceilings[k.Name]
@@ -73,8 +74,9 @@ func TestKernelAllocsPerRecordCeiling(t *testing.T) {
 			t.Fatalf("%s: no records executed", k.Name)
 		}
 		got := float64(ms1.Mallocs-ms0.Mallocs) / float64(records)
+		t.Logf("%s: %.4f allocs/record (ceiling %.3f)", k.Name, got, ceil)
 		if got > ceil {
-			t.Errorf("%s: %.4f allocs/record exceeds ceiling %.2f", k.Name, got, ceil)
+			t.Errorf("%s: %.4f allocs/record exceeds ceiling %.3f", k.Name, got, ceil)
 		}
 	}
 }

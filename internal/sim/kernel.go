@@ -3,9 +3,9 @@ package sim
 // This file defines the kernel benchmark scenarios: small, representative
 // simulations used to track the per-trace-record cost of the simulation
 // kernel (System.step -> demandAccess -> cache Lookup/Fill -> dram.Access ->
-// prefetcher Train). The same scenarios back the BenchmarkKernel suite in
-// bench_test.go and the cmd/bench baseline writer, so committed BENCH_*.json
-// files and `go test -bench=Kernel` numbers are directly comparable.
+// prefetcher Train). They back the BenchmarkKernel suite and the
+// allocation ceilings in bench_test.go, and serve as CPU/allocation
+// profiling targets; end-to-end performance claims come from perfbench.
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ import (
 // core count, a workload per core, and instruction budgets on the scaled
 // test hierarchy (the same ~8x-reduced geometry the sim tests use).
 type KernelScenario struct {
-	// Name identifies the scenario in benchmark output and BENCH_*.json.
+	// Name identifies the scenario in benchmark output.
 	Name string
 	// Cores is the simulated core count.
 	Cores int

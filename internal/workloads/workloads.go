@@ -75,38 +75,58 @@ type Workload struct {
 }
 
 // lapTrace adapts a LapSource to trace.Trace, buffering one lap at a time so
-// arbitrarily long traces use bounded memory.
+// arbitrarily long traces use bounded memory. The lap lives in fixed-size
+// chunks that later laps reuse, so a warmed trace allocates nothing and a
+// long lap costs no regrowth copies.
 type lapTrace struct {
-	src  LapSource
-	seed int64
-	buf  []trace.Record
-	pos  int
+	src    LapSource
+	seed   int64
+	emit   func(trace.Record) // push, bound once
+	chunks [][]trace.Record   // lapChunk records each
+	n      int                // records buffered for the current lap
+	pos    int                // next buffered record Next returns
 }
+
+// lapShift sets the lap-buffer chunk size, lapChunk records.
+const (
+	lapShift = 12
+	lapChunk = 1 << lapShift
+)
 
 // NewTrace returns an endless, resettable trace for the workload at the
 // given scale and seed. Wrap it with trace.NewLimit to bound instructions.
 func (w Workload) NewTrace(s Scale, seed int64) trace.Trace {
 	lt := &lapTrace{src: w.Build(s), seed: seed}
+	lt.emit = lt.push
 	lt.Reset()
 	return lt
 }
 
 func (t *lapTrace) Reset() {
 	t.src.Reset(rand.New(rand.NewSource(t.seed)))
-	t.buf = t.buf[:0]
-	t.pos = 0
+	t.n, t.pos = 0, 0
+}
+
+// push appends one record to the current lap, adding a chunk only when the
+// lap outgrows every chunk earlier laps left behind.
+func (t *lapTrace) push(r trace.Record) {
+	c := t.n >> lapShift
+	if c == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]trace.Record, lapChunk))
+	}
+	t.chunks[c][t.n&(lapChunk-1)] = r
+	t.n++
 }
 
 func (t *lapTrace) Next() (trace.Record, bool) {
-	for t.pos >= len(t.buf) {
-		t.buf = t.buf[:0]
-		t.pos = 0
-		t.src.Lap(func(r trace.Record) { t.buf = append(t.buf, r) })
-		if len(t.buf) == 0 {
+	for t.pos >= t.n {
+		t.n, t.pos = 0, 0
+		t.src.Lap(t.emit)
+		if t.n == 0 {
 			return trace.Record{}, false
 		}
 	}
-	r := t.buf[t.pos]
+	r := t.chunks[t.pos>>lapShift][t.pos&(lapChunk-1)]
 	t.pos++
 	return r, true
 }

@@ -224,3 +224,85 @@ func TestScaleSize(t *testing.T) {
 		t.Errorf("scale floor: got %d, want 64", got)
 	}
 }
+
+// fixedLaps is a LapSource whose lap k emits lens[k%len(lens)] records
+// drawn from the Reset RNG, so lap boundaries and lengths are known.
+type fixedLaps struct {
+	lens []int
+	rng  *rand.Rand
+	lap  int
+}
+
+func (f *fixedLaps) Reset(rng *rand.Rand) { f.rng, f.lap = rng, 0 }
+
+func (f *fixedLaps) Lap(emit func(trace.Record)) {
+	n := f.lens[f.lap%len(f.lens)]
+	for i := 0; i < n; i++ {
+		emit(trace.Record{PC: mem.PC(f.lap + 1), Addr: mem.Addr(f.rng.Int63()), IsWrite: i%3 == 0})
+	}
+	f.lap++
+}
+
+func fixedWorkload(lens ...int) Workload {
+	return Workload{Name: "fixed", Build: func(Scale) LapSource { return &fixedLaps{lens: lens} }}
+}
+
+// directLaps returns the records of the first laps laps of a fresh source
+// reset with seed, emitted by calling Lap directly.
+func directLaps(w Workload, seed int64, laps int) []trace.Record {
+	src := w.Build(Scale{})
+	src.Reset(rand.New(rand.NewSource(seed)))
+	var out []trace.Record
+	for i := 0; i < laps; i++ {
+		src.Lap(func(r trace.Record) { out = append(out, r) })
+	}
+	return out
+}
+
+func TestLapTraceMatchesDirectLaps(t *testing.T) {
+	// Laps shorter than, longer than and exactly one buffer chunk, so chunk
+	// reuse across laps of different lengths is exercised.
+	w := fixedWorkload(3, 2*lapChunk+5, lapChunk, 1, lapChunk+7)
+	want := directLaps(w, 5, 5)
+	tr := w.NewTrace(Scale{}, 5)
+	for pass := 0; pass < 2; pass++ {
+		for i, rec := range want {
+			got, ok := tr.Next()
+			if !ok {
+				t.Fatalf("pass %d: trace ended at record %d of %d", pass, i, len(want))
+			}
+			if got != rec {
+				t.Fatalf("pass %d: record %d = %+v, want %+v", pass, i, got, rec)
+			}
+		}
+		tr.Reset()
+	}
+}
+
+func TestLapTraceEndsOnEmptyLap(t *testing.T) {
+	tr := fixedWorkload(2, 0).NewTrace(Scale{}, 1)
+	for i := 0; i < 2; i++ {
+		if _, ok := tr.Next(); !ok {
+			t.Fatalf("trace ended at record %d of the first lap", i)
+		}
+	}
+	if _, ok := tr.Next(); ok {
+		t.Fatal("trace continued past an empty lap")
+	}
+}
+
+func TestLapTraceWarmLapAllocatesNothing(t *testing.T) {
+	const lap = 2*lapChunk + 1
+	tr := fixedWorkload(lap).NewTrace(Scale{}, 3)
+	drainLap := func() {
+		for i := 0; i < lap; i++ {
+			if _, ok := tr.Next(); !ok {
+				t.Fatal("trace ended")
+			}
+		}
+	}
+	drainLap() // the first lap sizes the chunk buffer
+	if n := testing.AllocsPerRun(5, drainLap); n != 0 {
+		t.Errorf("a warmed lap allocates %.1f objects, want 0", n)
+	}
+}
